@@ -939,7 +939,7 @@ let report_cmd =
     in
     Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
     (* per-op latency aggregates, keyed by event (= op) name *)
-    let lat : (string, Obs.Quantile.t * float ref * int ref) Hashtbl.t =
+    let lat : (string, Obs.Quantile.t * int ref) Hashtbl.t =
       Hashtbl.create 16
     in
     let total_events = ref 0 and ops = ref 0 and errors = ref 0 in
@@ -990,16 +990,15 @@ let report_cmd =
            match ffloat "dur_ms" ev with
            | Some dur when ev.Obs.Event.name <> "slow_op" ->
                incr ops;
-               let q, mx, errs =
+               let q, errs =
                  match Hashtbl.find_opt lat ev.Obs.Event.name with
                  | Some entry -> entry
                  | None ->
-                     let entry = (Obs.Quantile.create (), ref 0., ref 0) in
+                     let entry = (Obs.Quantile.create (), ref 0) in
                      Hashtbl.add lat ev.Obs.Event.name entry;
                      entry
                in
                Obs.Quantile.add q dur;
-               if dur > !mx then mx := dur;
                (match fstr "outcome" ev with
                | Some o when String.length o >= 5 && String.sub o 0 5 = "error" ->
                    incr errs;
@@ -1014,9 +1013,10 @@ let report_cmd =
     let by_name tbl = List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) tbl []) in
     let ops_rows =
       List.map
-        (fun (name, (q, mx, errs)) ->
+        (fun (name, (q, errs)) ->
           (name, Obs.Quantile.count q, Obs.Quantile.estimate q 0.5,
-           Obs.Quantile.estimate q 0.9, Obs.Quantile.estimate q 0.99, !mx, !errs))
+           Obs.Quantile.estimate q 0.9, Obs.Quantile.estimate q 0.99, Obs.Quantile.max q,
+           !errs))
         (by_name lat)
     in
     match format with

@@ -1,4 +1,5 @@
 module Tree = Imprecise_xml.Tree
+module Prng = Imprecise_prng.Prng
 
 let person name tel =
   Tree.element "person" [ Tree.leaf "nm" name; Tree.leaf "tel" tel ]

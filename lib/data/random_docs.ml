@@ -1,5 +1,6 @@
 module Tree = Imprecise_xml.Tree
 module Pxml = Imprecise_pxml.Pxml
+module Prng = Imprecise_prng.Prng
 
 let tags = [ "a"; "b"; "c"; "item"; "name" ]
 

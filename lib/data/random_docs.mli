@@ -6,6 +6,7 @@
 
 module Tree = Imprecise_xml.Tree
 module Pxml = Imprecise_pxml.Pxml
+module Prng = Imprecise_prng.Prng
 
 (** [xml rng ~depth] is a random plain XML element of bounded depth and
     fan-out, over a small tag/text alphabet (collisions are likely, which

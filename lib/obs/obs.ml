@@ -297,7 +297,10 @@ module Quantile = struct
      (roughly 2.7e-6 .. 2.2e8 in whatever unit is observed — picoseconds
      to days when the unit is milliseconds); values outside clamp to the
      edge buckets, zero and negative values count in a dedicated zero
-     bucket. Memory is one fixed int array; no allocation per [add].
+     bucket. The exact min and max are tracked too, and every estimate is
+     clamped to them: a bucket midpoint can lie outside the observed
+     range (one observation of 197.9 sits in a bucket whose midpoint is
+     191.4). Memory is one fixed int array; no allocation per [add].
 
      Not internally synchronised: the one inside a [Metrics] histogram is
      guarded by that histogram's mutex, standalone uses (the [report]
@@ -308,9 +311,22 @@ module Quantile = struct
   let offset = 128
   let nbuckets = 320
 
-  type t = { mutable total : int; mutable zeros : int; counts : int array }
+  type t = {
+    mutable total : int;
+    mutable zeros : int;
+    mutable mn : float;
+    mutable mx : float;
+    counts : int array;
+  }
 
-  let create () = { total = 0; zeros = 0; counts = Array.make nbuckets 0 }
+  let create () =
+    {
+      total = 0;
+      zeros = 0;
+      mn = Float.infinity;
+      mx = Float.neg_infinity;
+      counts = Array.make nbuckets 0;
+    }
 
   let bucket v =
     let i = offset + int_of_float (Float.floor (Float.log v /. log_gamma)) in
@@ -318,6 +334,8 @@ module Quantile = struct
 
   let add t v =
     t.total <- t.total + 1;
+    if v < t.mn then t.mn <- v;
+    if v > t.mx then t.mx <- v;
     if v <= 0. then t.zeros <- t.zeros + 1
     else begin
       let i = bucket v in
@@ -327,29 +345,39 @@ module Quantile = struct
   let clear t =
     t.total <- 0;
     t.zeros <- 0;
+    t.mn <- Float.infinity;
+    t.mx <- Float.neg_infinity;
     Array.fill t.counts 0 nbuckets 0
 
   let count t = t.total
+
+  (* the midpoint of the bucket holding the [rank]-th smallest observation *)
+  let midpoint t rank =
+    if rank <= t.zeros then 0.
+    else begin
+      let seen = ref t.zeros in
+      let found = ref (-1) in
+      let i = ref 0 in
+      while !found < 0 && !i < nbuckets do
+        seen := !seen + t.counts.(!i);
+        if !seen >= rank then found := !i;
+        incr i
+      done;
+      if !found < 0 then 0. (* unreachable: total = zeros + sum counts *)
+      else Float.exp ((float_of_int (!found - offset) +. 0.5) *. log_gamma)
+    end
 
   let estimate t q =
     if t.total = 0 then 0.
     else begin
       let q = Float.max 0. (Float.min 1. q) in
       let rank = max 1 (int_of_float (Float.ceil (q *. float_of_int t.total))) in
-      if rank <= t.zeros then 0.
-      else begin
-        let seen = ref t.zeros in
-        let found = ref (-1) in
-        let i = ref 0 in
-        while !found < 0 && !i < nbuckets do
-          seen := !seen + t.counts.(!i);
-          if !seen >= rank then found := !i;
-          incr i
-        done;
-        if !found < 0 then 0. (* unreachable: total = zeros + sum counts *)
-        else Float.exp ((float_of_int (!found - offset) +. 0.5) *. log_gamma)
-      end
+      Float.min t.mx (Float.max t.mn (midpoint t rank))
     end
+
+  let min t = t.mn
+
+  let max t = t.mx
 end
 
 module Metrics = struct
@@ -365,8 +393,6 @@ module Metrics = struct
     hlock : Mutex.t;
     mutable obs : int;
     mutable sum : float;
-    mutable mn : float;
-    mutable mx : float;
     sketch : Quantile.t;
   }
 
@@ -409,8 +435,6 @@ module Metrics = struct
             hlock = Mutex.create ();
             obs = 0;
             sum = 0.;
-            mn = Float.infinity;
-            mx = Float.neg_infinity;
             sketch = Quantile.create ();
           }
         in
@@ -426,8 +450,6 @@ module Metrics = struct
     Mutex.protect h.hlock @@ fun () ->
     h.obs <- h.obs + 1;
     h.sum <- h.sum +. v;
-    if v < h.mn then h.mn <- v;
-    if v > h.mx then h.mx <- v;
     Quantile.add h.sketch v
 
   type hstats = {
@@ -445,8 +467,8 @@ module Metrics = struct
     {
       observations = h.obs;
       sum = h.sum;
-      min = h.mn;
-      max = h.mx;
+      min = Quantile.min h.sketch;
+      max = Quantile.max h.sketch;
       p50 = Quantile.estimate h.sketch 0.50;
       p90 = Quantile.estimate h.sketch 0.90;
       p99 = Quantile.estimate h.sketch 0.99;
@@ -488,8 +510,6 @@ module Metrics = struct
         Mutex.protect h.hlock @@ fun () ->
         h.obs <- 0;
         h.sum <- 0.;
-        h.mn <- Float.infinity;
-        h.mx <- Float.neg_infinity;
         Quantile.clear h.sketch)
       registry.histograms
 

@@ -68,7 +68,9 @@ module Quantile : sig
       error ≤ ~5% (bucket boundaries grow geometrically by
       γ = 1.05/0.95; estimates are bucket geometric midpoints, so the
       error bound is √γ − 1 ≈ 5.1%). Zero and negative observations
-      count in a dedicated zero bucket and report as [0.].
+      count in a dedicated zero bucket and report as [0.]. The exact min
+      and max are kept too, and every estimate is clamped to them, so a
+      quantile never lies outside the observed range.
 
       Not internally synchronised — the instance inside each
       {!Metrics.histogram} is protected by that histogram's mutex. *)
@@ -83,6 +85,11 @@ module Quantile : sig
 
   (** [estimate t q] for [q] in [0,1]; [0.] when empty. *)
   val estimate : t -> float -> float
+
+  (** Smallest and largest observation; [+∞]/[−∞] when empty. *)
+  val min : t -> float
+
+  val max : t -> float
 
   val clear : t -> unit
 end

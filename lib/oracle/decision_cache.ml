@@ -2,16 +2,9 @@ module Xml = Imprecise_xml
 module Intern = Imprecise_pxml.Intern
 module Obs = Imprecise_obs.Obs
 
-let c_hit = Obs.Metrics.counter "oracle.cache.hit"
-
-let c_miss = Obs.Metrics.counter "oracle.cache.miss"
-
-let c_evict = Obs.Metrics.counter "oracle.cache.evict"
-
-(* Same LRU shape as Pquery.Cache (hash table into an intrusive recency
-   list, every operation O(1)), but keyed by the subtree pair itself and
-   guarded by a mutex: the integration engine consults one cache from all
-   the domains deciding the verdict grid.
+(* An Imprecise_lru instance keyed by the subtree pair itself; the LRU's
+   own mutex lets the integration engine consult one cache from all the
+   domains deciding the verdict grid.
 
    Keys are INTERNED subtrees (Intern.tree), so a lookup is O(1) in the
    size of the trees: the key hash is the intern pool's cached structural
@@ -20,103 +13,30 @@ let c_evict = Obs.Metrics.counter "oracle.cache.evict"
    is two pointer checks (deep-equal trees intern to the same pointer).
    Re-interning the probe trees is itself O(1) once they have been seen:
    the pool memoizes by physical identity. *)
-
-type key = Xml.Tree.t * Xml.Tree.t
-
-module Ktbl = Hashtbl.Make (struct
-  type t = key
+module Lru = Imprecise_lru.Lru.Make (struct
+  type t = Xml.Tree.t * Xml.Tree.t
 
   let equal (a1, b1) (a2, b2) = a1 == a2 && b1 == b2
 
   let hash (a, b) = (Intern.tree_hash a * 31) lxor Intern.tree_hash b
 end)
 
-type node = {
-  key : key;
-  mutable value : Oracle.verdict;
-  mutable prev : node option;
-  mutable next : node option;
-}
+type t = Oracle.verdict Lru.t
 
-type t = {
-  lock : Mutex.t;
-  tbl : node Ktbl.t;
-  mutable head : node option;
-  mutable tail : node option;
-  mutable capacity : int;
-}
+let create ?(capacity = 4096) () = Lru.create ~metrics:"oracle.cache" capacity
 
-let create ?(capacity = 4096) () =
-  if capacity <= 0 then invalid_arg "Decision_cache.create: capacity must be positive";
-  { lock = Mutex.create (); tbl = Ktbl.create 64; head = None; tail = None; capacity }
-
-let capacity t = t.capacity
-
-let length t = Mutex.protect t.lock @@ fun () -> Ktbl.length t.tbl
-
-let clear t =
-  Mutex.protect t.lock @@ fun () ->
-  Ktbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None
-
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
-
-let push_front t n =
-  n.next <- t.head;
-  n.prev <- None;
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n
-
-let touch t n =
-  if t.head != Some n then begin
-    unlink t n;
-    push_front t n
-  end
-
-let evict_tail t =
-  match t.tail with
-  | None -> ()
-  | Some n ->
-      unlink t n;
-      Ktbl.remove t.tbl n.key;
-      Obs.Metrics.incr c_evict
+(* Register the counters at load time, like every other layer's, so they
+   are in the catalogue even for processes that never build a cache. *)
+let () = ignore (create ~capacity:1 ())
 
 let find t a b =
-  let a = Intern.tree a and b = Intern.tree b in
-  let r =
-    Mutex.protect t.lock @@ fun () ->
-    match Ktbl.find_opt t.tbl (a, b) with
-    | Some n ->
-        Obs.Metrics.incr c_hit;
-        touch t n;
-        Some n.value
-    | None ->
-        Obs.Metrics.incr c_miss;
-        None
-  in
+  let r = Lru.find t (Intern.tree a, Intern.tree b) in
   (* gated and outside the cache lock: the event sink has its own mutex *)
   if Obs.Event.enabled () then
     Obs.Event.emit ~fields:[ ("hit", Obs.Json.Bool (r <> None)) ] "oracle.cache";
   r
 
-let add t a b value =
-  let a = Intern.tree a and b = Intern.tree b in
-  Mutex.protect t.lock @@ fun () ->
-  let key = (a, b) in
-  match Ktbl.find_opt t.tbl key with
-  | Some n ->
-      n.value <- value;
-      touch t n
-  | None ->
-      if Ktbl.length t.tbl >= t.capacity then evict_tail t;
-      let n = { key; value; prev = None; next = None } in
-      Ktbl.add t.tbl key n;
-      push_front t n
+let add t a b value = Lru.add t (Intern.tree a, Intern.tree b) value
 
 (* The lock is NOT held across [Oracle.decide]: a slow rule set would
    serialise every domain. Two domains may therefore decide the same

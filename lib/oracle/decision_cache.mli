@@ -18,12 +18,12 @@
     that. Callers who revise the rule set must use a fresh cache (the
     engine creates one per {!val:Imprecise.integrate_many} call).
 
-    The cache is a mutex-guarded LRU, safe to consult from the parallel
-    domains of [Matching.graph_of_outcomes]. Hits, misses and evictions
-    are counted under [oracle.cache.hit] / [oracle.cache.miss] /
-    [oracle.cache.evict]; note that a cache hit skips [Oracle.decide],
-    so [oracle.decisions] and per-rule fired counters only grow on
-    misses. *)
+    The cache is an instance of {!Imprecise_lru.Lru}, safe to consult
+    from the parallel domains of [Matching.graph_of_outcomes]. Hits,
+    misses and evictions are counted under [oracle.cache.hit] /
+    [oracle.cache.miss] / [oracle.cache.evict]; note that a cache hit
+    skips [Oracle.decide], so [oracle.decisions] and per-rule fired
+    counters only grow on misses. *)
 
 module Xml = Imprecise_xml
 
@@ -34,14 +34,8 @@ type t
     [Invalid_argument] if [capacity <= 0]. *)
 val create : ?capacity:int -> unit -> t
 
-val capacity : t -> int
-
-val length : t -> int
-
-val clear : t -> unit
-
 (** [find t a b] is the cached verdict for the pair, if present (counts a
-    hit or miss either way). *)
+    hit or miss either way, and emits [oracle.cache] when events are on). *)
 val find : t -> Xml.Tree.t -> Xml.Tree.t -> Oracle.verdict option
 
 (** [add t a b v] records a verdict (overwriting any previous one). *)

@@ -1,85 +1,18 @@
 module Obs = Imprecise_obs.Obs
+module Lru = Imprecise_lru.Lru.Make (String)
 
-let c_hit = Obs.Metrics.counter "pquery.cache.hit"
+type t = Answer.t list Lru.t
 
-let c_miss = Obs.Metrics.counter "pquery.cache.miss"
+let create ?(capacity = 256) () = Lru.create ~metrics:"pquery.cache" capacity
 
-let c_evict = Obs.Metrics.counter "pquery.cache.evict"
+let capacity = Lru.capacity
 
-(* Classic LRU: hash table into an intrusive doubly-linked recency list,
-   most-recent at the head. All operations O(1). *)
+let length = Lru.length
 
-type node = {
-  key : string;
-  mutable value : Answer.t list;
-  mutable prev : node option;  (** towards the head (more recent) *)
-  mutable next : node option;  (** towards the tail (least recent) *)
-}
-
-type t = {
-  tbl : (string, node) Hashtbl.t;
-  mutable head : node option;
-  mutable tail : node option;
-  mutable capacity : int;
-}
-
-let create ?(capacity = 256) () =
-  if capacity <= 0 then invalid_arg "Cache.create: capacity must be positive";
-  { tbl = Hashtbl.create 64; head = None; tail = None; capacity }
-
-let capacity t = t.capacity
-
-let length t = Hashtbl.length t.tbl
-
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None
-
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
-
-let push_front t n =
-  n.next <- t.head;
-  n.prev <- None;
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n
-
-let touch t n =
-  if t.head != Some n then begin
-    unlink t n;
-    push_front t n
-  end
-
-let evict_tail t =
-  match t.tail with
-  | None -> ()
-  | Some n ->
-      unlink t n;
-      Hashtbl.remove t.tbl n.key;
-      Obs.Metrics.incr c_evict
-
-let set_capacity t capacity =
-  if capacity <= 0 then invalid_arg "Cache.set_capacity: capacity must be positive";
-  t.capacity <- capacity;
-  while length t > t.capacity do
-    evict_tail t
-  done
+let clear = Lru.clear
 
 let find t key =
-  let r =
-    match Hashtbl.find_opt t.tbl key with
-    | Some n ->
-        Obs.Metrics.incr c_hit;
-        touch t n;
-        Some n.value
-    | None ->
-        Obs.Metrics.incr c_miss;
-        None
-  in
+  let r = Lru.find t key in
   (* gated: no fields are built unless someone is recording events *)
   if Obs.Event.enabled () then
     Obs.Event.emit
@@ -87,23 +20,7 @@ let find t key =
       "pquery.cache";
   r
 
-let add t key value =
-  match Hashtbl.find_opt t.tbl key with
-  | Some n ->
-      n.value <- value;
-      touch t n
-  | None ->
-      if length t >= t.capacity then evict_tail t;
-      let n = { key; value; prev = None; next = None } in
-      Hashtbl.add t.tbl key n;
-      push_front t n
-
-let remove t key =
-  match Hashtbl.find_opt t.tbl key with
-  | None -> ()
-  | Some n ->
-      unlink t n;
-      Hashtbl.remove t.tbl key
+let add = Lru.add
 
 (* Composite key. The generation is what invalidates: every [Store.put]
    stamps the document with a fresh generation, so entries for superseded
@@ -117,4 +34,4 @@ let key ~collection ~generation ~variant ~query =
   Printf.sprintf "%d:%s#g%d#%d:%s#%d:%s" (String.length collection) collection
     generation (String.length variant) variant (String.length query) query
 
-let global = create ~capacity:256 ()
+let global = create ()

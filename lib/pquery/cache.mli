@@ -5,12 +5,9 @@
     {e generation}, not by deletion: each [Store.put] stamps the document
     with a fresh, process-unique generation, so entries computed against a
     superseded document state simply never match again and age out of the
-    LRU. Hits, misses and evictions are counted in the global metrics
-    registry as [pquery.cache.hit] / [.miss] / [.evict].
-
-    Not domain-safe: confine a cache (including {!global}) to one domain.
-    The parallel evaluator spawns domains {e below} the cache, so the
-    normal [rank_cached] path never shares it. *)
+    LRU. The cache is an instance of {!Imprecise_lru.Lru}: domain-safe,
+    with hits, misses and evictions counted in the global metrics registry
+    as [pquery.cache.hit] / [.miss] / [.evict]. *)
 
 type t
 
@@ -20,24 +17,17 @@ val create : ?capacity:int -> unit -> t
 
 val capacity : t -> int
 
-(** Entries currently held. *)
 val length : t -> int
-
-(** [set_capacity t n] shrinks or grows the bound, evicting the least
-    recently used entries as needed. *)
-val set_capacity : t -> int -> unit
 
 val clear : t -> unit
 
 (** [find t key] is the cached answer, marking it most recently used.
-    Counts a hit or a miss. *)
+    Counts a hit or a miss and, when events are on, emits [pquery.cache]. *)
 val find : t -> string -> Answer.t list option
 
 (** [add t key answers] inserts or replaces, evicting the least recently
     used entry when full. *)
 val add : t -> string -> Answer.t list -> unit
-
-val remove : t -> string -> unit
 
 (** [key ~collection ~generation ~variant ~query] builds the composite
     cache key. [variant] encodes everything besides the document and query

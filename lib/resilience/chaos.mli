@@ -1,8 +1,7 @@
 (** Scripted fault plans for chaos testing.
 
-    PR 1's crash matrix injected one fault at one counted IO operation.
-    This module generalises that to a {e plan}: a set of named fault
-    sites, each with a schedule saying which hits of that site fault.
+    A {e plan} is a set of named fault sites, each with a schedule saying
+    which hits of that site fault.
     Subsystem shims consult the plan — {!Imprecise_store.Store.Io.flaky}
     asks it per IO operation, a test oracle can ask it per decision —
     and the harness asserts afterwards how often each site actually

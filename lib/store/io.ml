@@ -72,46 +72,10 @@ let real =
 
 type fault_mode = Crash | Torn | Enospc
 
-let faulty ?(mode = Crash) ~fail_at base =
-  let n = ref 0 in
-  (* true iff this mutating operation is the one that fails *)
-  let armed () =
-    incr n;
-    !n = fail_at
-  in
-  let boom what =
-    match mode with
-    | Crash | Torn -> raise (Fault (Fmt.str "injected crash at operation %d (%s)" fail_at what))
-    | Enospc ->
-        raise (Sys_error (Fmt.str "%s: No space left on device (injected at operation %d)" what fail_at))
-  in
-  {
-    base with
-    write_file =
-      (fun path data ->
-        if armed () then begin
-          (match mode with
-          | Crash -> ()
-          | Torn | Enospc ->
-              (* a partial flush: only a prefix of the bytes reached disk *)
-              base.write_file path (String.sub data 0 (String.length data / 2)));
-          boom ("write " ^ path)
-        end
-        else base.write_file path data);
-    fsync = (fun path -> if armed () then boom ("fsync " ^ path) else base.fsync path);
-    fsync_dir =
-      (fun dir -> if armed () then boom ("fsync-dir " ^ dir) else base.fsync_dir dir);
-    rename =
-      (fun ~src ~dst ->
-        if armed () then boom ("rename " ^ dst) else base.rename ~src ~dst);
-    delete = (fun path -> if armed () then boom ("delete " ^ path) else base.delete path);
-    mkdir = (fun dir -> if armed () then boom ("mkdir " ^ dir) else base.mkdir dir);
-  }
-
 (* Predicate-driven fault injection: [should_fail op path] is consulted on
-   every operation, so a chaos plan can script transient faults ("first two
-   manifest fsyncs"), persistent ones ("every write to this path"), and
-   read-side damage, none of which the one-shot [faulty] can express. *)
+   every operation, so a chaos plan can script one-shot crashes ("the 7th
+   mutating operation"), transient faults ("first two manifest fsyncs"),
+   persistent ones ("every write to this path") and read-side damage. *)
 let flaky ?(mode = Crash) ~should_fail base =
   let boom what =
     match mode with

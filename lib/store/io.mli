@@ -2,11 +2,11 @@
 
     Every byte the store reads or writes goes through a value of type {!t}.
     The default, {!real}, performs direct syscalls ([Unix.fsync] included);
-    tests swap in {!faulty}, a shim that simulates a crash, a torn write or
-    a full disk at a chosen operation, and {!observe}, a spy that reports
-    each completed operation — together they let the fault-injection suite
-    walk every crash point of a [save] and assert what a subsequent [load]
-    can still recover. *)
+    tests swap in {!flaky}, a shim that simulates a crash, a torn write or
+    a full disk at the operations a predicate picks, and {!observe}, a spy
+    that reports each completed operation — together they let the
+    fault-injection suite walk every crash point of a [save] and assert
+    what a subsequent [load] can still recover. *)
 
 type t
 
@@ -14,11 +14,11 @@ type t
 type op = List_dir | Read | Write | Fsync | Fsync_dir | Rename | Delete | Mkdir
 
 (** [is_mutating op] is [true] for the operations that change the disk
-    (write, fsync, fsync-dir, rename, delete, mkdir) — the ones {!faulty}
-    counts. *)
+    (write, fsync, fsync-dir, rename, delete, mkdir) — the crash points of
+    a [save]. *)
 val is_mutating : op -> bool
 
-(** Raised by {!faulty} in [Crash] and [Torn] modes: the process "died" at
+(** Raised by {!flaky} in [Crash] and [Torn] modes: the process "died" at
     this operation. *)
 exception Fault of string
 
@@ -37,17 +37,16 @@ val real : t
       device" — the error path a full disk takes. *)
 type fault_mode = Crash | Torn | Enospc
 
-(** [faulty ~mode ~fail_at base] fails the [fail_at]-th (1-based) mutating
-    operation; earlier and later operations pass through to [base].
-    Default mode: [Crash]. *)
-val faulty : ?mode:fault_mode -> fail_at:int -> t -> t
-
 (** [flaky ?mode ~should_fail base] fails exactly the operations for which
-    [should_fail op path] is true — unlike {!faulty} it covers reads and
-    directory listings, and the predicate can script transient faults
-    (fail the first [n] consultations, then heal) or persistent ones.
-    Drive it from a {!Imprecise_resilience.Chaos} plan:
-    [flaky ~should_fail:(fun op _ -> op = Fsync && Chaos.fires plan "fsync") real].
+    [should_fail op path] is true (default mode: [Crash]); the others pass
+    through to [base]. The predicate is consulted on every operation but
+    [exists], reads and directory listings included, so it can script a
+    one-shot crash, transient faults (fail the first [n] consultations,
+    then heal) or persistent ones. Drive it from a
+    {!Imprecise_resilience.Chaos} plan — crashing the 7th mutating
+    operation, say:
+    [flaky ~should_fail:(fun op _ -> is_mutating op && Chaos.fires plan "mutating") real]
+    with [plan = Chaos.plan [ ("mutating", At [ 7 ]) ]].
 
     Mode refines {!fault_mode} for the read path: [Torn] reads return a
     silent prefix of the data {e without} raising — damage only the
@@ -66,7 +65,7 @@ val classify_error : exn -> Imprecise_resilience.Retry.error_class
 
 (** [observe f base] calls [f op path] after each operation of [base]
     {e completes} ([path] is the destination for renames). Failed
-    operations are not reported, so wrapping a {!faulty} shim records
+    operations are not reported, so wrapping a {!flaky} shim records
     exactly what reached the disk before the crash. *)
 val observe : (op -> string -> unit) -> t -> t
 

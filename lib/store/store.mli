@@ -18,7 +18,7 @@
 module Tree = Imprecise_xml.Tree
 module Pxml = Imprecise_pxml.Pxml
 
-(** The IO layer the store runs on; swap in {!Io.faulty} to test crashes. *)
+(** The IO layer the store runs on; swap in {!Io.flaky} to test crashes. *)
 module Io = Io
 
 (** The on-disk commit record written by {!save}. *)

@@ -12,6 +12,7 @@
 
 module Store = Imprecise.Store
 module Io = Imprecise.Store.Io
+module Chaos = Imprecise.Resilience.Chaos
 module Tree = Imprecise.Tree
 module Pxml = Imprecise.Pxml
 
@@ -98,6 +99,19 @@ let count_ops save =
   | Error msg -> Alcotest.failf "sizing save failed: %s" msg);
   !n
 
+(* A one-shot fault: a Chaos plan that fires on the [fail_at]-th mutating
+   operation, driving [Io.flaky]. *)
+let one_fault fail_at = Chaos.plan [ ("mutating", Chaos.At [ fail_at ]) ]
+
+let inject ~mode plan =
+  Io.flaky ~mode
+    ~should_fail:(fun op _ -> Io.is_mutating op && Chaos.fires plan "mutating")
+    Io.real
+
+let assert_fired label plan =
+  check Alcotest.int (label "injected fault fired exactly once") 1
+    (Chaos.faults plan "mutating")
+
 let assert_reasons report =
   List.iter
     (fun (name, o) ->
@@ -119,16 +133,18 @@ let test_fresh_save_matrix () =
         let dir = fresh_dir () in
         (* record which documents made it through their rename *)
         let renamed = ref [] in
+        let plan = one_fault fail_at in
         let io =
           Io.observe
             (fun op path ->
               if op = Io.Rename && Filename.check_suffix path ".xml" then
                 renamed := doc_of_path path :: !renamed)
-            (Io.faulty ~mode ~fail_at Io.real)
+            (inject ~mode plan)
         in
         (match Store.save ~io (make_v1 ()) ~dir with
         | Error _ -> ()
         | Ok () -> Alcotest.fail (label "save survived its injected fault"));
+        assert_fired label plan;
         if not (Sys.file_exists dir) then
           (* the fault hit mkdir: nothing was ever written *)
           check Alcotest.(list string) (label "nothing written") [] !renamed
@@ -203,17 +219,19 @@ let test_overwrite_save_matrix () =
         | Ok () -> ()
         | Error msg -> Alcotest.failf "v1 save failed: %s" msg);
         let committed = ref false in
+        let plan = one_fault fail_at in
         let io =
           Io.observe
             (fun op path ->
               if op = Io.Rename && Filename.basename path = "MANIFEST" then committed := true)
-            (Io.faulty ~mode ~fail_at Io.real)
+            (inject ~mode plan)
         in
         let s = make_v1 () in
         apply_v2 s;
         (match Store.save ~io s ~dir with
         | Error _ -> ()
         | Ok () -> Alcotest.fail (label "save survived its injected fault"));
+        assert_fired label plan;
         match Store.load dir with
         | Error msg -> Alcotest.failf "%s: %s" (label "salvaging load refused") msg
         | Ok (s', report) ->

@@ -125,6 +125,31 @@ let test_histogram_domain_safe () =
   let n = float_of_int (domains * per_domain) in
   check feq "sum is exactly 1+2+...+n" (n *. (n +. 1.) /. 2.) s.Metrics.sum
 
+(* The one LRU under contention: 4 domains share a small answer cache.
+   Every lookup counts exactly one hit or miss, and the cache never holds
+   more than its capacity. *)
+let test_lru_domain_safe () =
+  let module Cache = Imprecise_pquery.Cache in
+  let capacity = 8 and domains = 4 and per_domain = 5_000 in
+  let cache = Cache.create ~capacity () in
+  let count name = Metrics.count (Metrics.counter name) in
+  let lookups0 = count "pquery.cache.hit" + count "pquery.cache.miss" in
+  let spawned =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            for i = 1 to per_domain do
+              (* 16 keys over 8 slots: hits, misses and evictions all happen *)
+              let key = string_of_int (((d * 7) + i) mod 16) in
+              match Cache.find cache key with
+              | Some _ -> ()
+              | None -> Cache.add cache key []
+            done))
+  in
+  List.iter Domain.join spawned;
+  check Alcotest.bool "length <= capacity" true (Cache.length cache <= capacity);
+  check Alcotest.int "hit + miss deltas = lookups" (domains * per_domain)
+    (count "pquery.cache.hit" + count "pquery.cache.miss" - lookups0)
+
 (* Concurrent registration under the registry lock: every domain asking for
    the same name must get the same counter, and distinct names must all
    survive into the snapshot. *)
@@ -370,6 +395,37 @@ let test_quantile_zeros () =
   check Alcotest.int "zero and negative counted" 3 (Obs.Quantile.count q);
   check feq "p50 lands in the zero bucket" 0. (Obs.Quantile.estimate q 0.5);
   within "p99 still sees the positive tail" 100. (Obs.Quantile.estimate q 0.99)
+
+(* Regression: a bucket's geometric midpoint can fall outside the observed
+   range. One observation of 197.9 used to report p50 = 191.4, below its
+   own min; estimates are now clamped to [min, max]. *)
+let test_quantile_within_min_max () =
+  let q = Obs.Quantile.create () in
+  Obs.Quantile.add q 197.9;
+  check feq "single observation: p50 is the observation" 197.9 (Obs.Quantile.estimate q 0.5);
+  check feq "single observation: p99 is the observation" 197.9 (Obs.Quantile.estimate q 0.99);
+  let h = Metrics.histogram ~registry:(Metrics.registry ()) "lat" in
+  Metrics.observe h 197.9;
+  let s = Metrics.stats h in
+  check feq "histogram p50 = min" s.Metrics.min s.Metrics.p50;
+  check feq "histogram p99 = max" s.Metrics.max s.Metrics.p99;
+  let rng = Random.State.make [| 7 |] in
+  for trial = 1 to 200 do
+    let h = Metrics.histogram ~registry:(Metrics.registry ()) "lat" in
+    for _ = 1 to 1 + Random.State.int rng 20 do
+      Metrics.observe h (Random.State.float rng 1000.)
+    done;
+    let s = Metrics.stats h in
+    let ordered =
+      s.Metrics.min <= s.Metrics.p50
+      && s.Metrics.p50 <= s.Metrics.p90
+      && s.Metrics.p90 <= s.Metrics.p99
+      && s.Metrics.p99 <= s.Metrics.max
+    in
+    if not ordered then
+      Alcotest.failf "trial %d: min %g p50 %g p90 %g p99 %g max %g out of order" trial
+        s.Metrics.min s.Metrics.p50 s.Metrics.p90 s.Metrics.p99 s.Metrics.max
+  done
 
 let test_histogram_quantiles () =
   let r = Metrics.registry () in
@@ -757,6 +813,8 @@ let suite =
         t "8 domains x 100k increments count exactly" test_counter_domain_safe;
         t "parallel histogram observations are exact" test_histogram_domain_safe;
         t "concurrent registration is safe" test_registration_domain_safe;
+        t "4 domains share one LRU: bounded, every lookup counted"
+          test_lru_domain_safe;
       ] );
     ( "obs.trace",
       [
@@ -776,6 +834,7 @@ let suite =
       [
         t "estimates within the declared error bound" test_quantile_accuracy;
         t "zeros and negatives report as 0" test_quantile_zeros;
+        t "estimates stay within [min, max]" test_quantile_within_min_max;
         t "histogram stats expose p50/p90/p99" test_histogram_quantiles;
         t "to_text/to_json are sorted by metric name" test_rendered_output_sorted;
       ] );

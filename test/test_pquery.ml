@@ -278,18 +278,40 @@ let test_cache_hit_and_invalidation () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected Error for a missing document"
 
+(* Both instances of the one LRU: fill a capacity-2 cache with keys 1 and
+   2, touch 1, add 3 — key 2 is the least recently used and must be the
+   one evicted, counted under the cache's own [<prefix>.evict]. *)
+let lru_eviction_case ~prefix ~add ~find =
+  let evicts = Imprecise.Obs.Metrics.counter (prefix ^ ".evict") in
+  let e0 = Imprecise.Obs.Metrics.count evicts in
+  add 1;
+  add 2;
+  ignore (find 1);
+  add 3;
+  check Alcotest.bool (prefix ^ ": key 1 kept") true (find 1);
+  check Alcotest.bool (prefix ^ ": key 2 evicted") false (find 2);
+  check Alcotest.bool (prefix ^ ": key 3 kept") true (find 3);
+  check Alcotest.int (prefix ^ ": one eviction counted") (e0 + 1)
+    (Imprecise.Obs.Metrics.count evicts)
+
 let test_lru_eviction () =
-  let cache = Imprecise_pquery.Cache.create ~capacity:2 () in
-  let key n = Imprecise_pquery.Cache.key ~collection:"c" ~generation:n ~variant:"v" ~query:"q" in
-  Imprecise_pquery.Cache.add cache (key 1) [];
-  Imprecise_pquery.Cache.add cache (key 2) [];
-  ignore (Imprecise_pquery.Cache.find cache (key 1));
-  Imprecise_pquery.Cache.add cache (key 3) [];
-  (* key 2 was least recently used and must be the one evicted *)
-  check Alcotest.bool "key 1 kept" true (Imprecise_pquery.Cache.find cache (key 1) <> None);
-  check Alcotest.bool "key 2 evicted" true (Imprecise_pquery.Cache.find cache (key 2) = None);
-  check Alcotest.bool "key 3 kept" true (Imprecise_pquery.Cache.find cache (key 3) <> None);
-  check Alcotest.int "capacity respected" 2 (Imprecise_pquery.Cache.length cache)
+  let module Cache = Imprecise_pquery.Cache in
+  let cache = Cache.create ~capacity:2 () in
+  let key n = Cache.key ~collection:"c" ~generation:n ~variant:"v" ~query:"q" in
+  lru_eviction_case ~prefix:"pquery.cache"
+    ~add:(fun n -> Cache.add cache (key n) [])
+    ~find:(fun n -> Cache.find cache (key n) <> None);
+  check Alcotest.int "capacity respected" 2 (Cache.length cache);
+  let module Decisions = Imprecise.Decision_cache in
+  let decisions = Decisions.create ~capacity:2 () in
+  let pair n = (Tree.leaf "k" (string_of_int n), Tree.leaf "k" "x") in
+  lru_eviction_case ~prefix:"oracle.cache"
+    ~add:(fun n ->
+      let a, b = pair n in
+      Decisions.add decisions a b (Oracle.Unsure 0.5))
+    ~find:(fun n ->
+      let a, b = pair n in
+      Decisions.find decisions a b <> None)
 
 (* Regression: the old separator-joined key ("c#g1#v#q") was not injective
    when a field contained the separator — these two entries collided, so a
